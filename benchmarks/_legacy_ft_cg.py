@@ -1,10 +1,11 @@
 """Frozen pre-refactor FT-CG driver (PR-1 tree), kept verbatim for
 ``benchmarks/bench_resilience.py`` and ``benchmarks/bench_hotpath.py``:
-the engine-based ``run_ft_cg`` is benchmarked against this monolith to
-confirm the resilience-engine refactor added no overhead, and the
-workspace hot path against the full seed stack to measure what it
-bought.  Do not modernize this file — its value is being the exact code
-the golden trajectories were captured from.  The SpMxV/ABFT kernels are
+the engine-based FT-CG (``run_ft_method(Method.CG, ...)``) is
+benchmarked against this monolith to confirm the resilience-engine
+refactor added no overhead, and the workspace hot path against the
+full seed stack to measure what it bought.  Do not modernize this
+file — its value is being the exact code the golden trajectories were
+captured from.  The SpMxV/ABFT kernels are
 likewise the *frozen seed* versions (``benchmarks/_seed_kernels.py``):
 the zero-copy-hot-path PR made the live kernels themselves faster, so
 importing them here would silently flatter the baseline.
@@ -26,7 +27,7 @@ from benchmarks._seed_kernels import (
 from repro.checkpoint.store import CheckpointStore
 from repro.checkpoint.policy import PeriodicCheckpointPolicy
 from repro.core.cg import cg_tolerance_threshold
-from repro.core.ft_cg import FTCGResult, RecoveryCounters, TimeBreakdown
+from repro.resilience.accounting import RecoveryCounters, SolveResult, TimeBreakdown
 from repro.core.methods import SchemeConfig
 from repro.core.stability import chen_verify
 from repro.faults.bitflip import flip_bits_array
@@ -35,7 +36,7 @@ from repro.faults.record import FaultRecord
 from repro.util.log import EventLog
 from repro.util.rng import as_generator
 
-__all__ = ["run_ft_cg_legacy"]
+__all__ = ["run_legacy_ft_cg"]
 
 #: Targets whose strikes land in the protected-SpMxV window.
 _SPMV_PRE_TARGETS = frozenset({"val", "colid", "rowidx", "p"})
@@ -91,7 +92,7 @@ class _LiveState:
         self.iteration = cp.iteration
 
 
-def run_ft_cg_legacy(
+def run_legacy_ft_cg(
     a: CSRMatrix,
     b: np.ndarray,
     config: SchemeConfig,
@@ -104,7 +105,7 @@ def run_ft_cg_legacy(
     max_time_units: float | None = None,
     event_log: EventLog | None = None,
     final_check: bool = True,
-) -> FTCGResult:
+) -> SolveResult:
     """Run fault-tolerant CG under silent-error injection.
 
     Parameters
@@ -135,7 +136,7 @@ def run_ft_cg_legacy(
 
     Returns
     -------
-    FTCGResult
+    SolveResult
     """
     wall_start = _time.perf_counter()
     rng = as_generator(rng)
@@ -318,7 +319,7 @@ def run_ft_cg_legacy(
     breakdown.useful_work += uncommitted_work
 
     true_residual = float(np.linalg.norm(state.b - spmv(a, state.x)))
-    return FTCGResult(
+    return SolveResult(
         x=state.x.copy(),
         converged=bool(true_residual <= threshold or (converged and not final_check)),
         iterations=state.iteration,

@@ -2,12 +2,12 @@
 
 The ``repro.chaos`` contract mirrors ``repro.obs``: with every
 hardening knob at its off value, ``resolve_retry`` / ``resolve_chaos``
-collapse to ``None`` and the campaign executor takes the exact legacy
-code path — a default campaign may pay the two resolution calls and
-nothing per task.  This bench times ``run_campaign(jobs=1)`` over a
-small Table-1 sweep three ways:
+collapse to ``None`` and :func:`repro.chaos.run_guarded` reduces to
+a plain ``execute_task`` call — a default campaign may pay the two
+resolution calls and one function frame per task.  This bench times
+``run_campaign(jobs=1)`` over a small Table-1 sweep three ways:
 
-- ``off``     — no hardening arguments (the legacy path);
+- ``off``     — no hardening arguments (no deadline, no retry loop);
 - ``guarded`` — ``retries=1`` plus a generous ``task_timeout`` that
   never fires: every task runs through :func:`repro.chaos.run_guarded`
   with a real ``SIGALRM`` deadline armed and disarmed around it.  The
@@ -131,8 +131,8 @@ def test_bench_chaos_hardening_overhead(results_dir):
     control = record["aggregate_control_spread_pct"]
     allowed = max_overhead_pct() + control
     assert overhead <= allowed, (
-        f"the guarded execution path costs {overhead:.2f}% over the legacy "
+        f"the guarded execution path costs {overhead:.2f}% over the off "
         f"path on a healthy campaign (allowed {max_overhead_pct()}% + "
         f"{control:.2f}% measured machine noise) — run_guarded must stay a "
-        "thin wrapper and the off-path must not route through it at all"
+        "thin wrapper and add nothing per task when no policy is armed"
     )

@@ -28,11 +28,12 @@ import time
 
 import numpy as np
 
-from benchmarks._legacy_ft_cg import run_ft_cg_legacy
+from benchmarks._legacy_ft_cg import run_legacy_ft_cg
 from benchmarks.conftest import bench_scale
-from repro.core import Scheme, SchemeConfig
+from repro.core import Method, Scheme, SchemeConfig
 from repro.core.methods import CostModel
 from repro.perf import SolveWorkspace
+from repro.resilience import run_ft_method
 from repro.sim.engine import make_rhs, repeat_run
 from repro.sim.matrices import get_matrix
 from repro.util.rng import spawn_named
@@ -75,7 +76,7 @@ def _seed_repeat(a, b, cfg, alpha: float, reps: int, base_seed: int = 0):
     for rep in range(reps):
         rng = spawn_named(base_seed, cfg.scheme.value, alpha, rep)
         with np.errstate(all="ignore"):
-            out.append(run_ft_cg_legacy(a, b, cfg, alpha=alpha, rng=rng, eps=1e-6))
+            out.append(run_legacy_ft_cg(a, b, cfg, alpha=alpha, rng=rng, eps=1e-6))
     return out
 
 
@@ -94,12 +95,12 @@ def run_hotpath_bench(scale: int, reps: int) -> dict:
         # trajectories bit for bit (simulated time and solution bytes).
         ws = SolveWorkspace()
         seed_results = _seed_repeat(a, b, cfg, alpha, min(reps, 10))
-        from repro.core import run_ft_cg
-
         for rep, want in enumerate(seed_results):
             rng = spawn_named(0, cfg.scheme.value, alpha, rep)
             with np.errstate(all="ignore"):
-                got = run_ft_cg(a, b, cfg, alpha=alpha, rng=rng, eps=1e-6, workspace=ws)
+                got = run_ft_method(
+                    Method.CG, a, b, cfg, alpha=alpha, rng=rng, eps=1e-6, workspace=ws
+                )
             assert got.time_units == want.time_units
             assert got.iterations_executed == want.iterations_executed
             np.testing.assert_array_equal(got.x, want.x)

@@ -1,7 +1,8 @@
 """E8 — resilience engine: overhead vs the pre-refactor FT-CG driver.
 
-The resilience-engine refactor replaced the monolithic ``run_ft_cg``
-with a plugin on :mod:`repro.resilience.engine`.  This bench runs the
+The resilience-engine refactor replaced the monolithic FT-CG driver
+with a plugin on :mod:`repro.resilience.engine`, reached through
+``run_ft_method(Method.CG, ...)``.  This bench runs the
 engine-based driver and the frozen pre-refactor monolith
 (``benchmarks/_legacy_ft_cg.py``, kept verbatim) on the same
 fault-injection workload, asserts the trajectories are bit-identical,
@@ -16,14 +17,16 @@ copies).
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 
 import numpy as np
 
-from benchmarks._legacy_ft_cg import run_ft_cg_legacy
+from benchmarks._legacy_ft_cg import run_legacy_ft_cg
 from benchmarks.conftest import bench_reps, bench_scale
-from repro.core import Scheme, SchemeConfig, run_ft_cg
+from repro.core import Method, Scheme, SchemeConfig
+from repro.resilience import run_ft_method
 from repro.sim.engine import make_rhs
 from repro.sim.matrices import get_matrix
 
@@ -33,6 +36,9 @@ POINTS = [
     (Scheme.ABFT_DETECTION, 1, 0.1),
     (Scheme.ABFT_CORRECTION, 1, 0.2),
 ]
+
+#: The engine-based FT-CG, called like the legacy driver.
+run_engine_ft_cg = functools.partial(run_ft_method, Method.CG)
 
 
 def _run_all(driver, a, b, reps):
@@ -54,11 +60,11 @@ def test_bench_engine_vs_legacy_driver(results_dir):
     reps = max(2, bench_reps())
 
     # Warm both paths once (checksum/matrix caches, JIT-free but fair).
-    _run_all(run_ft_cg, a, b, 1)
-    _run_all(run_ft_cg_legacy, a, b, 1)
+    _run_all(run_engine_ft_cg, a, b, 1)
+    _run_all(run_legacy_ft_cg, a, b, 1)
 
-    engine_results, t_engine = _run_all(run_ft_cg, a, b, reps)
-    legacy_results, t_legacy = _run_all(run_ft_cg_legacy, a, b, reps)
+    engine_results, t_engine = _run_all(run_engine_ft_cg, a, b, reps)
+    legacy_results, t_legacy = _run_all(run_legacy_ft_cg, a, b, reps)
 
     # The refactor must not change the physics: every trajectory is
     # bit-identical to the monolith's.

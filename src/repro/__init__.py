@@ -17,12 +17,14 @@ The library provides:
 - verified checkpointing (:mod:`repro.checkpoint`);
 - a solver-agnostic resilience engine whose recurrence plugins (CG,
   BiCGstab, Jacobi-PCG) run under the ONLINE-DETECTION /
-  ABFT-DETECTION / ABFT-CORRECTION schemes (:mod:`repro.resilience`);
-- plain CG / PCG / Krylov baselines and the fault-tolerant entry
-  points (:mod:`repro.core`);
+  ABFT-DETECTION / ABFT-CORRECTION schemes, with TMR-voted vector
+  kernels and one protected-solve entry point,
+  :func:`~repro.resilience.run_ft_method` (:mod:`repro.resilience`);
+- plain CG / PCG / BiCGstab reference solvers, the scheme descriptors
+  and the cost model (:mod:`repro.core`);
 - the abstract performance model with numerical interval optimization
   (:mod:`repro.model`);
-- a simulated message-passing parallel SpMxV with local ABFT
+- nnz-balanced row partitioning for the threaded kernel backend
   (:mod:`repro.parallel`);
 - the experiment drivers regenerating the paper's Table 1 and Figure 1
   (:mod:`repro.sim`);
@@ -79,11 +81,8 @@ from repro.abft import (
     compute_checksums,
     protected_spmv,
     SpmvStatus,
-    tmr_dot,
-    tmr_norm2,
-    tmr_axpy,
 )
-from repro.faults import FaultInjector, FaultModel, IterationFaultPlan, CGTargets
+from repro.faults import FaultInjector, FaultModel
 from repro.checkpoint import CheckpointStore, PeriodicCheckpointPolicy
 from repro.core import (
     cg,
@@ -93,12 +92,8 @@ from repro.core import (
     Method,
     SchemeConfig,
     CostModel,
-    run_ft_cg,
-    run_ft_bicgstab,
-    run_ft_pcg,
-    run_ft_method,
-    FTCGResult,
 )
+from repro.resilience import run_ft_method
 from repro.model import (
     expected_frame_time,
     frame_overhead,
@@ -134,7 +129,7 @@ from repro.store import (
 )
 from repro.adaptive import SamplingPolicy
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CSRMatrix",
@@ -149,13 +144,8 @@ __all__ = [
     "compute_checksums",
     "protected_spmv",
     "SpmvStatus",
-    "tmr_dot",
-    "tmr_norm2",
-    "tmr_axpy",
     "FaultInjector",
     "FaultModel",
-    "IterationFaultPlan",
-    "CGTargets",
     "CheckpointStore",
     "PeriodicCheckpointPolicy",
     "cg",
@@ -165,11 +155,7 @@ __all__ = [
     "Method",
     "SchemeConfig",
     "CostModel",
-    "run_ft_cg",
-    "run_ft_bicgstab",
-    "run_ft_pcg",
     "run_ft_method",
-    "FTCGResult",
     "expected_frame_time",
     "frame_overhead",
     "optimal_interval",

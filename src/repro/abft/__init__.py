@@ -11,9 +11,11 @@ Implements the paper's Algorithm 2 and its supporting machinery:
 - :mod:`repro.abft.correction` — the ``CORRECTERRORS`` decoder for
   errors in ``Rowidx``, ``Val``, ``Colid``, ``x`` and the computation;
 - :mod:`repro.abft.tolerance` — the Theorem-2 floating-point tolerance
-  that guarantees no false positives;
-- :mod:`repro.abft.tmr` — triple modular redundancy for the dot/norm/
-  axpy kernels the paper protects by replication rather than checksums.
+  that guarantees no false positives.
+
+The vector kernels the paper protects by replication rather than
+checksums (triple modular redundancy) are voted inside the resilience
+engine (:meth:`repro.resilience.EngineContext.tmr_vote`).
 """
 
 from repro.abft.weights import ones_weights, ramp_weights, weight_matrix, choose_shift
@@ -31,9 +33,6 @@ from repro.abft.spmv import (
 )
 from repro.abft.correction import CorrectionOutcome, correct_errors
 from repro.abft.tolerance import gamma, spmv_checksum_tolerance, ToleranceModel
-from repro.abft.tmr import tmr_dot, tmr_norm2, tmr_axpy, majority_vote, TMRError
-from repro.abft.operator import ProtectedOperator, UncorrectableError
-from repro.abft.multi import MultiChecksums, compute_multi_checksums, detect_multi
 
 __all__ = [
     "ones_weights",
@@ -53,14 +52,4 @@ __all__ = [
     "gamma",
     "spmv_checksum_tolerance",
     "ToleranceModel",
-    "tmr_dot",
-    "tmr_norm2",
-    "tmr_axpy",
-    "majority_vote",
-    "TMRError",
-    "ProtectedOperator",
-    "UncorrectableError",
-    "MultiChecksums",
-    "compute_multi_checksums",
-    "detect_multi",
 ]

@@ -108,20 +108,16 @@ def _column_entries(a: CSRMatrix, j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _current_column_checksums(
-    a: CSRMatrix,
-    cks: SpmvChecksums,
-    row_of_nnz: "np.ndarray | None" = None,
+    a: CSRMatrix, cks: SpmvChecksums, row_of_nnz: np.ndarray
 ) -> np.ndarray:
     """``C' = WᵀÃ`` of the current (possibly corrupted) matrix.
 
-    ``row_of_nnz`` may be passed in when the caller evaluates several
-    candidate repairs against an unchanged ``rowidx`` (the z = 2 colid
-    trial loop): the row pattern depends only on the pointers.
+    ``row_of_nnz`` is :func:`_row_pattern` of ``a``; it depends only on
+    the pointers, so the z = 2 colid trial loop reuses it across
+    candidate repairs.
     """
     n_rows, n_cols = a.shape
     out = np.zeros((cks.nchecks, n_cols), dtype=np.float64)
-    if row_of_nnz is None:
-        row_of_nnz = _row_pattern(a)
     # A corrupted rowidx can make the repeat counts disagree with nnz;
     # in that case the rowidx branch should have handled it first, but
     # guard anyway so the decoder never crashes mid-recovery.
@@ -142,11 +138,19 @@ def _current_column_checksums(
     return out
 
 
-def _row_pattern(a: CSRMatrix) -> np.ndarray:
-    """Row index of every stored nonzero, per the *current* pointers."""
+def _row_pattern(a: CSRMatrix) -> "np.ndarray | None":
+    """Row index of every stored nonzero, per the *current* pointers.
+
+    ``None`` when the (clipped) pointers are not monotone: a multiple
+    strike on ``rowidx`` can cancel in both pointer checksums, and such
+    pointers delimit no row pattern at all.
+    """
     if a.structure_clean:  # monotone in-range pointers: clip is a no-op
         return np.repeat(np.arange(a.nrows), np.diff(a.rowidx))
-    return np.repeat(np.arange(a.nrows), np.diff(np.clip(a.rowidx, 0, a.nnz)))
+    counts = np.diff(np.clip(a.rowidx, 0, a.nnz))
+    if counts.size and counts.min() < 0:
+        return None
+    return np.repeat(np.arange(a.nrows), counts)
 
 
 def correct_errors(
@@ -235,7 +239,12 @@ def correct_errors(
                 )
             d = int(suspicious[0])
 
-        cur = _current_column_checksums(a, cks)
+        rows = _row_pattern(a)
+        if rows is None:
+            # Out of single-error territory: the pointer checksums did
+            # not trip, yet the pointers are corrupt.  Roll back.
+            return CorrectionOutcome(False, "none", detail="rowidx non-monotone")
+        cur = _current_column_checksums(a, cks, rows)
         with np.errstate(invalid="ignore"):
             diff = cks.column_checksums - cur
         col_tol = cks.tolerance.per_check_factor[:, None]
@@ -283,13 +292,12 @@ def correct_errors(
             candidates = lo + np.nonzero(np.isin(eff, (f1, f2)))[0]
             # Trial-flip each candidate; keep the first flip that makes
             # the column checksums consistent again.  The trials mutate
-            # only colid, so the row pattern is computed once.
-            rows_cache = _row_pattern(a)
+            # only colid, so the row pattern above still holds.
             for p in candidates:
                 p = int(p)
                 original = int(a.colid[p])
                 a.colid[p] = f2 if original % a.ncols == f1 else f1
-                trial = _current_column_checksums(a, cks, rows_cache)
+                trial = _current_column_checksums(a, cks, rows)
                 if np.all(
                     np.abs(cks.column_checksums[:, (f1, f2)] - trial[:, (f1, f2)])
                     <= col_tol

@@ -52,6 +52,7 @@ __all__ = [
     "partial_hash",
     "make_partial_record",
     "load_partials",
+    "adaptive_kwargs",
 ]
 
 #: Schema version stamped into ``telemetry`` store records.
@@ -185,6 +186,21 @@ def _resolve_partial_store(partial_store):
         entry = (pid, open_store(partial_store))
         _WORKER_PARTIAL_STORES[partial_store] = entry
     return entry[1]
+
+
+def adaptive_kwargs(task: TaskSpec, priors: "dict[str, dict] | None", partial_store) -> dict:
+    """The adaptive-resume keywords of :func:`execute_task` for ``task``.
+
+    Empty for fixed-count tasks; for adaptive ones, the task's resume
+    payload from ``priors`` (keyed by task hash) and the partial-record
+    sink ``partial_store`` (a live backend or a store URL).
+    """
+    if not task.sampling:
+        return {}
+    return {
+        "prior": (priors or {}).get(task.task_hash()),
+        "partial_store": partial_store,
+    }
 
 
 def _telemetry_state() -> dict:
@@ -374,11 +390,11 @@ def run_campaign(
         regardless of scheduling.
     task_timeout, retries, retry_backoff:
         Self-healing knobs (``docs/DESIGN.md`` §10; all off by
-        default, in which case execution takes the exact legacy code
-        path).  ``task_timeout`` is a per-attempt wall-clock deadline
-        in seconds; ``retries`` bounds re-attempts of a failing /
-        timed-out task with exponential backoff starting at
-        ``retry_backoff`` seconds.  A task that exhausts its attempts
+        default, in which case every task is one plain
+        :func:`execute_task` call).  ``task_timeout`` is a per-attempt
+        wall-clock deadline in seconds; ``retries`` bounds re-attempts
+        of a failing / timed-out task with exponential backoff starting
+        at ``retry_backoff`` seconds.  A task that exhausts its attempts
         is *quarantined*: a structured ``kind="quarantine"`` record is
         stored under its hash, the campaign completes, and the
         ``campaign.quarantined`` metric counts it.
@@ -534,35 +550,9 @@ def _run_serial(
 ) -> None:
     """Run pending tasks inline in this process, skipping any already
     delivered (pool-degradation re-runs pass a partially filled
-    ``results``).  With no hardening knob set this is exactly the
-    legacy serial loop."""
-    priors = priors or {}
-
-    def adaptive_kwargs(task: TaskSpec) -> dict:
-        if not task.sampling:
-            return {}
-        return {
-            "prior": priors.get(task.task_hash()),
-            "partial_store": partial_store,
-        }
-
-    if retry is None and chaos is None:
-        for i, task in pending:
-            if results[i] is not None:
-                continue
-            _deliver(
-                i,
-                execute_task(
-                    task,
-                    reuse_workspace=reuse_workspace,
-                    trace_dir=trace_dir,
-                    **adaptive_kwargs(task),
-                ),
-                results,
-                store,
-                progress,
-            )
-        return
+    ``results``).  Every task goes through
+    :func:`repro.chaos.run_guarded`, which is a plain
+    :func:`execute_task` call when no hardening knob is set."""
     from repro.chaos import run_guarded
 
     tracer = None if trace_dir is None else _worker_tracer(trace_dir)
@@ -576,7 +566,7 @@ def _run_serial(
             tracer=tracer,
             reuse_workspace=reuse_workspace,
             trace_dir=trace_dir,
-            **adaptive_kwargs(task),
+            **adaptive_kwargs(task, priors, partial_store),
         )
         _deliver(i, record, results, store, progress)
 
@@ -762,49 +752,28 @@ def execute_chunk(
     are diffed per chunk, so values a forked worker inherited from the
     parent process never leak into campaign telemetry.
 
-    With a retry or chaos policy armed the chunk routes through
-    :func:`repro.chaos.run_guarded` (deadline / retry / quarantine /
-    injection); otherwise it is the plain legacy loop.  ``priors`` and
-    ``partial_url`` carry adaptive-sampling resume payloads and the
-    partial-record sink URL (see :func:`execute_task`).
+    Every task routes through :func:`repro.chaos.run_guarded`
+    (deadline / retry / quarantine / injection when a retry or chaos
+    policy is armed, a plain :func:`execute_task` call otherwise).
+    ``priors`` and ``partial_url`` carry adaptive-sampling resume
+    payloads and the partial-record sink URL (see :func:`execute_task`).
     """
+    from repro.chaos import run_guarded
+
     base = _telemetry_state()
-    priors = priors or {}
-
-    def adaptive_kwargs(task: TaskSpec) -> dict:
-        if not task.sampling:
-            return {}
-        return {
-            "prior": priors.get(task.task_hash()),
-            "partial_store": partial_url,
-        }
-
-    if retry is None and chaos is None:
-        records = [
-            execute_task(
-                t,
-                reuse_workspace=reuse_workspace,
-                trace_dir=trace_dir,
-                **adaptive_kwargs(t),
-            )
-            for t in tasks
-        ]
-    else:
-        from repro.chaos import run_guarded
-
-        tracer = None if trace_dir is None else _worker_tracer(trace_dir)
-        records = [
-            run_guarded(
-                t,
-                retry=retry,
-                chaos=chaos,
-                tracer=tracer,
-                reuse_workspace=reuse_workspace,
-                trace_dir=trace_dir,
-                **adaptive_kwargs(t),
-            )
-            for t in tasks
-        ]
+    tracer = None if trace_dir is None else _worker_tracer(trace_dir)
+    records = [
+        run_guarded(
+            t,
+            retry=retry,
+            chaos=chaos,
+            tracer=tracer,
+            reuse_workspace=reuse_workspace,
+            trace_dir=trace_dir,
+            **adaptive_kwargs(t, priors, partial_url),
+        )
+        for t in tasks
+    ]
     telemetry = diff_snapshots(_telemetry_state(), base)
     telemetry["pid"] = os.getpid()
     return {"records": records, "telemetry": telemetry}

@@ -105,9 +105,9 @@ def resolve_retry(
     backoff: float = 0.05,
 ) -> "RetryPolicy | None":
     """Build a :class:`RetryPolicy` from the campaign-level knobs, or
-    ``None`` when every knob is at its off value — the guarded path is
-    taken only when something asked for it, so default campaigns run
-    the exact legacy code."""
+    ``None`` when every knob is at its off value — with no policy,
+    :func:`run_guarded` is a plain call of the task, so default
+    campaigns pay no deadline, retry or injection machinery."""
     if retries == 0 and task_timeout is None:
         return None
     return RetryPolicy(retries=int(retries), timeout=task_timeout, backoff=backoff)
@@ -180,8 +180,8 @@ def run_guarded(
     """Execute one task under deadline / retry / chaos supervision.
 
     With ``retry is None`` and ``chaos is None`` this is exactly
-    ``execute(task, **kwargs)`` — the campaign layers only route
-    through here when some hardening knob is set.  ``tracer`` (a
+    ``execute(task, **kwargs)``, so every campaign layer (serial loop,
+    pool chunks, serve workers) routes each task through here.  ``tracer`` (a
     :class:`repro.obs.tracer.Tracer` or ``None``) receives ``retry`` /
     ``task-timeout`` / ``quarantine`` / ``chaos-inject`` events.
 

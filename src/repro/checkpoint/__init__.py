@@ -5,11 +5,12 @@ sparse matrix** (the extension to Chen's method described in Section
 3.1): a detected memory error may have corrupted ``A`` itself, so
 recovery must restore a valid copy of the matrix too.  A checkpoint is
 taken only right after a successful verification, which is what makes
-the last checkpoint always valid.
+the last checkpoint always valid.  Checkpoints live in memory
+(:class:`CheckpointStore`); the resilience engine stages them and
+rolls back to them.
 """
 
 from repro.checkpoint.store import Checkpoint, CheckpointStore
-from repro.checkpoint.disk import DiskCheckpointStore
 from repro.checkpoint.policy import PeriodicCheckpointPolicy
 
-__all__ = ["Checkpoint", "CheckpointStore", "DiskCheckpointStore", "PeriodicCheckpointPolicy"]
+__all__ = ["Checkpoint", "CheckpointStore", "PeriodicCheckpointPolicy"]

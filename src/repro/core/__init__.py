@@ -1,32 +1,26 @@
-"""Iterative solvers and their fault-tolerant variants.
+"""Reference solvers, protection schemes and the cost model.
 
 - :mod:`repro.core.cg` — the textbook Conjugate Gradient method
   (paper Algorithm 1);
-- :mod:`repro.core.pcg` — preconditioned CG (the Section-6 extension);
-- :mod:`repro.core.krylov` — BiCGstab / BiCG / CGNE, the Section-3
-  solver list, with injectable (protectable) products;
+- :mod:`repro.core.pcg` — preconditioned CG (the Section-6 extension)
+  and the Jacobi/SSOR preconditioners;
+- :mod:`repro.core.krylov` — plain BiCGstab, the fault-free reference
+  for the BiCGstab plugin;
 - :mod:`repro.core.stability` — Chen's verification tests
   (orthogonality + recomputed residual) used by ONLINE-DETECTION;
 - :mod:`repro.core.methods` — scheme/method descriptors and cost
-  models for the three protection schemes;
-- :mod:`repro.core.ft_cg` — fault-tolerant CG (a thin wrapper over the
-  resilience engine's CG plugin);
-- :mod:`repro.core.ft_krylov` — the same for BiCGstab.
+  models for the three protection schemes.
 
-The protection machinery itself (protected products, TMR voting,
-checkpoint/rollback orchestration, accounting) lives in
-:mod:`repro.resilience`; new solvers are added there as recurrence
-plugins — see :func:`repro.resilience.run_ft_method`.
+The fault-tolerant solvers run on the resilience engine: one entry
+point, :func:`repro.resilience.run_ft_method`, dispatches a
+:class:`Method` to its recurrence plugin (:mod:`repro.resilience`).
 """
 
 from repro.core.cg import cg, CGResult
 from repro.core.pcg import pcg, jacobi_preconditioner, ssor_preconditioner
-from repro.core.krylov import bicgstab, bicg, cgne
+from repro.core.krylov import bicgstab
 from repro.core.stability import orthogonality_check, residual_check, chen_verify
 from repro.core.methods import Scheme, Method, CostModel, SchemeConfig
-from repro.core.ft_cg import run_ft_cg, FTCGResult, RecoveryCounters, TimeBreakdown
-from repro.core.ft_krylov import run_ft_bicgstab
-from repro.resilience.registry import run_ft_method, run_ft_pcg
 
 __all__ = [
     "cg",
@@ -35,8 +29,6 @@ __all__ = [
     "jacobi_preconditioner",
     "ssor_preconditioner",
     "bicgstab",
-    "bicg",
-    "cgne",
     "orthogonality_check",
     "residual_check",
     "chen_verify",
@@ -44,11 +36,4 @@ __all__ = [
     "Method",
     "CostModel",
     "SchemeConfig",
-    "run_ft_cg",
-    "run_ft_bicgstab",
-    "run_ft_pcg",
-    "run_ft_method",
-    "FTCGResult",
-    "RecoveryCounters",
-    "TimeBreakdown",
 ]

@@ -5,13 +5,14 @@ matrix arrays (``Val``, ``Colid``, ``Rowidx``) or the iteration vectors
 (``r``, ``q``, ``p``, ``x``) of CG, under an exponential/Poisson model
 with rate ``λ = α/M`` where ``M`` is the memory footprint in words and
 ``α ∈ (0, 1)``.  Selective reliability holds: checksum data and
-checksum arithmetic are never corrupted.
+checksum arithmetic are never corrupted.  The resilience engine samples
+each iteration's strikes from a :class:`FaultInjector` and routes them
+to the operation window where the struck word is live.
 """
 
 from repro.faults.bitflip import flip_bit_float64, flip_bit_int64, flip_bits_array
 from repro.faults.record import FaultRecord
 from repro.faults.injector import FaultInjector, FaultModel
-from repro.faults.scenarios import IterationFaultPlan, CGTargets
 
 __all__ = [
     "flip_bit_float64",
@@ -20,6 +21,4 @@ __all__ = [
     "FaultRecord",
     "FaultInjector",
     "FaultModel",
-    "IterationFaultPlan",
-    "CGTargets",
 ]

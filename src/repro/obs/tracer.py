@@ -253,8 +253,7 @@ class CallbackTracer(Tracer):
     """Adapter wrapping plain callables as a tracer.
 
     ``on_iteration`` receives the engine context once per executed
-    iteration (this is the deprecation shim behind the engine's old
-    ``observer=`` kwarg); ``on_event`` receives each event dict.
+    iteration; ``on_event`` receives each event dict.
     """
 
     def __init__(

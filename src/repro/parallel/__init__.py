@@ -1,32 +1,13 @@
-"""Simulated parallel SpMxV with per-rank ABFT (the paper's Section 1).
+"""nnz-balanced row partitioning.
 
-The paper argues its technique extends to message-passing parallel
-implementations: each processor owns a block of matrix rows and the
-matching slice of the output vector; MPI guarantees message integrity
-(checksummed transport), so silent errors strike *local* computation
-and memory — and local detection/correction implies global
-detection/correction.  The MTBF of the platform shrinks linearly with
-the number of processors.
-
-Since no MPI runtime is available offline, :class:`SimComm` provides a
-deterministic in-process message-passing simulation (collectives with
-byte-volume accounting), over which :func:`distributed_spmv` runs the
-row-partitioned product with an independent ABFT checksum set per rank.
+Contiguous 1-D block-row partitions of a CSR matrix — equal row counts
+(:func:`block_rows`) or balanced stored nonzeros
+(:func:`partition_by_nnz`, the quantity that balances SpMxV work) —
+with the communication-volume metrics of the partitioning literature
+the paper cites.  The threaded kernel backend
+(:mod:`repro.backends.threaded`) splits its products with them.
 """
 
-from repro.parallel.comm import SimComm, CommStats
 from repro.parallel.partition import RowPartition, block_rows, partition_by_nnz
-from repro.parallel.spmv import DistributedSpmv, DistributedResult
-from repro.parallel.mtbf import platform_mtbf, platform_rate
 
-__all__ = [
-    "SimComm",
-    "CommStats",
-    "RowPartition",
-    "block_rows",
-    "partition_by_nnz",
-    "DistributedSpmv",
-    "DistributedResult",
-    "platform_mtbf",
-    "platform_rate",
-]
+__all__ = ["RowPartition", "block_rows", "partition_by_nnz"]

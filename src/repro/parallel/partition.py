@@ -1,9 +1,9 @@
-"""1-D block-row partitioning for the distributed SpMxV.
+"""1-D block-row partitioning of a CSR matrix.
 
-Each rank owns a contiguous block of rows (and the matching slice of
-the output vector).  Two partitioners are provided: equal row counts,
-and nnz-balanced contiguous blocks (the quantity that actually balances
-SpMxV work).  Communication-volume metrics follow the partitioning
+Each rank (or thread) owns a contiguous block of rows and the matching
+slice of the output vector.  Two partitioners are provided: equal row
+counts, and nnz-balanced contiguous blocks (the quantity that actually
+balances SpMxV work).  Communication-volume metrics follow the partitioning
 literature the paper cites (Kaya, Uçar, Çatalyürek [24]).
 """
 

@@ -18,14 +18,15 @@ CGNE, BiCG, BiCGstab".  This package is that claim as architecture:
   (``tests/test_resilience_golden.py``); Jacobi-preconditioned CG is
   the first solver born on the engine;
 - :mod:`repro.resilience.registry` — :class:`~repro.core.methods
-  .Method` → plugin dispatch (:func:`run_ft_method`);
+  .Method` → plugin dispatch (:func:`run_ft_method`), the one
+  protected-solve entry point;
 - :mod:`repro.resilience.accounting` — the shared
   :class:`RecoveryCounters` / :class:`TimeBreakdown` /
   :class:`SolveResult` containers.
 
-The legacy entry points :func:`repro.core.ft_cg.run_ft_cg` and
-:func:`repro.core.ft_krylov.run_ft_bicgstab` are thin wrappers over
-this package.
+``run_ft_method(Method.CG, a, b, config, ...)`` runs fault-tolerant CG
+(likewise ``Method.BICGSTAB`` and ``Method.PCG``); the
+:func:`repro.solve` facade is the same call behind spec objects.
 """
 
 from repro.resilience.accounting import RecoveryCounters, SolveResult, TimeBreakdown
@@ -40,7 +41,7 @@ from repro.resilience.protocol import (
     RecurrencePlugin,
     StepOutcome,
 )
-from repro.resilience.registry import PLUGIN_FACTORIES, make_plugin, run_ft_method, run_ft_pcg
+from repro.resilience.registry import PLUGIN_FACTORIES, make_plugin, run_ft_method
 
 __all__ = [
     "RecoveryCounters",
@@ -59,5 +60,4 @@ __all__ = [
     "PLUGIN_FACTORIES",
     "make_plugin",
     "run_ft_method",
-    "run_ft_pcg",
 ]

@@ -3,7 +3,7 @@
 One engine executes any recurrence plugin under the paper's three
 protection schemes.  The engine owns every solver-independent piece of
 the fault-tolerance machinery that the seed tree used to duplicate in
-``core/ft_cg.py`` and ``core/ft_krylov.py``:
+its per-solver FT-CG and FT-BiCGstab drivers:
 
 - the Poisson strike sampler and the live (corruptible) matrix copy;
 - ABFT checksum metadata and the protected SpMxV service, with strikes
@@ -31,8 +31,7 @@ accounting order and the injector registration order are preserved.
 from __future__ import annotations
 
 import time as _time
-import warnings
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from repro.faults.bitflip import flip_bits_array
 from repro.faults.injector import FaultInjector, FaultModel
 from repro.faults.record import FaultRecord
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import CallbackTracer, MultiTracer, Tracer, resolve_tracer
+from repro.obs.tracer import Tracer, resolve_tracer
 from repro.resilience.accounting import RecoveryCounters, SolveResult, TimeBreakdown
 from repro.resilience.protocol import RecurrencePlugin
 from repro.sparse.csr import CSRMatrix
@@ -455,7 +454,6 @@ def run_protected(
     max_time_units: "float | None" = None,
     event_log: "EventLog | None" = None,
     final_check: bool = True,
-    observer: "Callable[[EngineContext], None] | None" = None,
     workspace: "SolveWorkspace | None" = None,
     backend: "object | None" = None,
     tracer: "Tracer | None" = None,
@@ -489,13 +487,6 @@ def run_protected(
         Reliably re-verify the residual on apparent convergence and
         keep iterating if it is bogus (recommended; disable only to
         study undetected-error impact).
-    observer:
-        Deprecated alias for ``tracer`` (emits a ``DeprecationWarning``):
-        a callable invoked with the :class:`EngineContext` once per
-        executed iteration.  It is wrapped in a
-        :class:`repro.obs.CallbackTracer` and combined with ``tracer``
-        if both are given — override :meth:`repro.obs.Tracer.iteration`
-        instead.
     workspace:
         Optional :class:`repro.perf.SolveWorkspace`.  When given, the
         live matrix, the per-iteration buffers and the checkpoint
@@ -544,15 +535,6 @@ def run_protected(
             prepare(a)
     wall_start = _time.perf_counter()
     tr = resolve_tracer(tracer)
-    if observer is not None:
-        warnings.warn(
-            "run_protected(observer=...) is deprecated; pass tracer= with a "
-            "repro.obs.Tracer overriding iteration() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        shim = CallbackTracer(on_iteration=observer)
-        tr = shim if tr is None else MultiTracer([tr, shim])
     rng = as_generator(rng)
     log = event_log if event_log is not None else EventLog()
     n = a.nrows

@@ -1,12 +1,14 @@
 """Method → recurrence-plugin dispatch.
 
-The single entry point the experiment stack uses to run any protected
-solver: :func:`run_ft_method` instantiates a fresh plugin for the
-requested :class:`~repro.core.methods.Method` and hands it to the
-engine.  Registering a new solver takes a plugin module, a ``Method``
-enum member (with its supported schemes) in
-:mod:`repro.core.methods`, and one factory line here — ``sim/`` and
-``campaign/`` pick it up through the enum without changes.
+The single protected-solve entry point: :func:`run_ft_method`
+instantiates a fresh plugin for the requested
+:class:`~repro.core.methods.Method` and hands it to the engine.  The
+:func:`repro.solve` facade, the repetition loops of :mod:`repro.sim`
+and through them every campaign reach the engine this way.
+Registering a new solver takes a plugin module, a ``Method`` enum
+member (with its supported schemes) in :mod:`repro.core.methods`, and
+one factory line here — ``sim/`` and ``campaign/`` pick it up through
+the enum without changes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.accounting import SolveResult
     from repro.resilience.protocol import RecurrencePlugin
 
-__all__ = ["PLUGIN_FACTORIES", "make_plugin", "run_ft_method", "run_ft_pcg"]
+__all__ = ["PLUGIN_FACTORIES", "make_plugin", "run_ft_method"]
 
 #: One factory per solver; factories must return a *fresh* plugin
 #: (plugins are single-use — they hold one run's iteration state).
@@ -45,16 +47,8 @@ def run_ft_method(method: "Method | str", a, b, config, **kwargs) -> "SolveResul
     ``kwargs`` are forwarded to
     :func:`repro.resilience.engine.run_protected` (``alpha``, ``x0``,
     ``eps``, ``maxiter``, ``rng``, ``max_time_units``, ``event_log``,
-    ``tracer``, ``final_check``).
+    ``final_check``, ``workspace``, ``backend``, ``tracer``).  Returns
+    the engine's :class:`~repro.resilience.accounting.SolveResult`.
     """
     return run_protected(make_plugin(method), a, b, config, **kwargs)
 
-
-def run_ft_pcg(a, b, config, **kwargs) -> "SolveResult":
-    """Run fault-tolerant Jacobi-preconditioned CG (FT-PCG).
-
-    The first solver added on the engine rather than as a monolithic
-    driver; parameters as :func:`repro.core.ft_cg.run_ft_cg` (the
-    scheme must be one of the ABFT schemes).
-    """
-    return run_ft_method(Method.PCG, a, b, config, **kwargs)

@@ -304,13 +304,15 @@ def serve_worker(
     Module-level so it pickles under every multiprocessing start
     method.  The worker opens its own store from the URL (handles and
     connections never cross the process boundary) and identifies
-    itself to the lease board as ``pid-<pid>-<nonce>``.  Execution runs
-    through :func:`repro.chaos.run_guarded` when a retry policy or
-    chaos policy is armed; otherwise it is the plain legacy path.
+    itself to the lease board as ``pid-<pid>-<nonce>``.  Every task
+    runs through :func:`repro.chaos.run_guarded` (a plain
+    :func:`~repro.campaign.executor.execute_task` call when no retry
+    or chaos policy is armed).
     """
     from repro.campaign.executor import (
         _telemetry_state,
         _worker_tracer,
+        adaptive_kwargs,
         execute_task,
         load_partials,
     )
@@ -364,10 +366,7 @@ def serve_worker(
                 pending.pop(h, None)
                 continue
 
-            def run(task=task, h=h):
-                kwargs = {}
-                if task.sampling:
-                    kwargs = {"prior": priors.get(h), "partial_store": store}
+            def run(task=task):
                 return run_guarded(
                     task,
                     retry=retry,
@@ -376,7 +375,7 @@ def serve_worker(
                     execute=execute_task,
                     reuse_workspace=reuse_workspace,
                     trace_dir=trace_dir,
-                    **kwargs,
+                    **adaptive_kwargs(task, priors, store),
                 )
 
             record = _execute_with_heartbeat(store, h, owner, lease_ttl, run)

@@ -139,6 +139,32 @@ class TestNearMissErrors:
         assert res.correction.kind == "x"
         np.testing.assert_allclose(xc, x, rtol=1e-9)
 
+    def test_rowidx_non_monotone_without_pointer_residual(self, arrow):
+        """Three pointer strikes ``+t, −2t, +t`` on consecutive pointers
+        cancel in both exact pointer checksums, so no rowidx residual
+        trips, yet they leave ``rowidx`` non-monotone.  A second,
+        computation error flags ``dx``; the column-checksum decode must
+        then report the pointers uncorrectable (the engine rolls back)
+        instead of crashing on a negative row length."""
+        cks = compute_checksums(arrow, nchecks=2)
+        a = arrow.copy()
+        t = int(a.rowidx[3] - a.rowidx[1])
+        a.rowidx[1] += t
+        a.rowidx[2] -= 2 * t
+        a.rowidx[3] += t
+        assert np.any(np.diff(np.clip(a.rowidx, 0, a.nnz)) < 0)
+
+        def hook(stage, aa, xx, yy):
+            if stage == "post":
+                yy[7] += 1.0
+
+        # x = 0 keeps y blind to the pointer corruption, so only the
+        # computation error shows in dx (and localizes to row 7).
+        res = protected_spmv(a, np.zeros(arrow.ncols), cks, fault_hook=hook)
+        assert not res.residuals.rowidx_flagged
+        assert res.status is SpmvStatus.UNCORRECTABLE
+        assert res.correction.detail == "rowidx non-monotone"
+
 
 class TestMainEntry:
     def test_module_banner(self, capsys):

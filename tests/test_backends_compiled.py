@@ -29,7 +29,8 @@ from repro.backends.numba_backend import (
     NumbaBackend,
     numba_available,
 )
-from repro.core import Method, Scheme, SchemeConfig, run_ft_method
+from repro.core import Method, Scheme, SchemeConfig
+from repro.resilience import run_ft_method
 from repro.sim.engine import make_rhs
 from repro.sparse import CSRMatrix, stencil_spd
 from repro.sparse.norms import column_sums

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointStore, PeriodicCheckpointPolicy
+from repro.sparse import laplacian_2d
 
 
 class TestCheckpointStore:
@@ -62,6 +63,58 @@ class TestCheckpointStore:
         cp = store.save(0, {"x": np.zeros(3)})
         assert cp.matrix is None
         assert store.restore().matrix is None
+
+
+    def test_counters_accumulate(self, small_lap):
+        store = CheckpointStore()
+        for i in range(3):
+            store.save(i, {"x": np.zeros(5)}, matrix=small_lap if i == 1 else None)
+        store.restore()
+        store.borrow_latest()
+        assert (store.saves, store.restores) == (3, 2)
+        assert store.words_written == 15 + small_lap.memory_words
+
+    def test_scalars_are_copied(self):
+        store = CheckpointStore()
+        scalars = {"rr": 1.0}
+        store.save(0, {"x": np.zeros(2)}, scalars=scalars)
+        scalars["rr"] = 5.0
+        assert store.latest.scalars == {"rr": 1.0}
+        store.restore().scalars["rr"] = 9.0
+        assert store.latest.scalars == {"rr": 1.0}
+
+
+class TestRecyclingStore:
+    def test_reuses_evicted_arrays(self, small_lap):
+        store = CheckpointStore(recycle=True)
+        first = store.save(0, {"x": np.zeros(4)}, matrix=small_lap)
+        second = store.save(1, {"x": np.ones(4)}, matrix=small_lap)
+        assert second.vectors["x"] is first.vectors["x"]
+        assert second.matrix is first.matrix
+        np.testing.assert_array_equal(store.latest.vectors["x"], np.ones(4))
+
+    def test_layout_change_allocates_fresh(self, small_lap):
+        store = CheckpointStore(recycle=True)
+        first = store.save(0, {"x": np.zeros(4)}, matrix=small_lap)
+        bigger = laplacian_2d(21)
+        second = store.save(1, {"x": np.zeros(6)}, matrix=bigger)
+        assert second.vectors["x"] is not first.vectors["x"]
+        assert second.matrix is not first.matrix
+        assert second.matrix.equals(bigger)
+
+    def test_keep_two_recycles_only_the_oldest(self):
+        store = CheckpointStore(keep=2, recycle=True)
+        cps = [store.save(i, {"x": np.full(3, float(i))}) for i in range(3)]
+        assert cps[2].vectors["x"] is cps[0].vectors["x"]
+        assert cps[2].vectors["x"] is not cps[1].vectors["x"]
+        np.testing.assert_array_equal(cps[1].vectors["x"], np.full(3, 1.0))
+
+    def test_restored_copy_survives_later_saves(self):
+        store = CheckpointStore(recycle=True)
+        store.save(0, {"x": np.zeros(3)})
+        restored = store.restore()
+        store.save(1, {"x": np.ones(3)})
+        np.testing.assert_array_equal(restored.vectors["x"], np.zeros(3))
 
 
 class TestPeriodicPolicy:

@@ -96,3 +96,70 @@ class TestInjector:
         m = FaultModel(alpha=1.0, memory_words=10)
         inj = FaultInjector(m, rng=0)
         assert inj.sample_strikes(n_strikes=3) == []
+
+
+class TestCGState:
+    """The injector over a CG run's protected state: the matrix arrays
+    and the four iteration vectors, registered the way the engine does."""
+
+    VECTORS = ("x", "r", "p", "q")
+
+    @pytest.fixture
+    def state(self, small_lap):
+        a = small_lap.copy()
+        vectors = {name: np.zeros(a.nrows) for name in self.VECTORS}
+        model = FaultModel(alpha=0.5, memory_words=a.memory_words + 4 * a.nrows)
+        inj = FaultInjector(model, rng=0)
+        for name in ("val", "colid", "rowidx"):
+            inj.register(name, getattr(a, name))
+        for name, v in vectors.items():
+            inj.register(name, v)
+        return inj, a, vectors
+
+    def test_registered_words_match_memory_model(self, state, small_lap):
+        inj, _, _ = state
+        assert inj.total_words == inj.model.memory_words
+        assert inj.total_words == small_lap.memory_words + 4 * small_lap.nrows
+
+    def test_strikes_hit_registered_state(self, state, small_lap):
+        inj, a, vectors = state
+        recs = inj.inject_iteration(0, n_strikes=10)
+        assert len(recs) == 10
+        assert {r.target for r in recs} <= {"val", "colid", "rowidx", *self.VECTORS}
+        touched = not a.equals(small_lap) or any(np.any(v != 0.0) for v in vectors.values())
+        assert touched
+
+    def test_unregistered_vectors_immune(self, state):
+        inj, _, vectors = state
+        for name in self.VECTORS:
+            inj.unregister(name)
+        recs = inj.inject_iteration(0, n_strikes=20)
+        assert {r.target for r in recs} <= {"val", "colid", "rowidx"}
+        assert all(np.all(v == 0.0) for v in vectors.values())
+
+    def test_rebinding_vector_redirects_strikes(self, state):
+        inj, _, vectors = state
+        fresh = np.zeros_like(vectors["x"])
+        inj.register("x", fresh)
+        for it in range(50):
+            if any(r.target == "x" for r in inj.inject_iteration(it, n_strikes=5)):
+                break
+        assert np.any(fresh != 0.0)
+        assert np.all(vectors["x"] == 0.0)
+
+    def test_records_accumulate_with_iterations(self, state):
+        inj, _, _ = state
+        inj.inject_iteration(0, n_strikes=2)
+        inj.inject_iteration(1, n_strikes=3)
+        assert [r.iteration for r in inj.records] == [0, 0, 1, 1, 1]
+
+    def test_on_strike_hook_sees_each_position(self, state):
+        inj, a, _ = state
+        seen = []
+        inj.register("colid", a.colid, on_strike=seen.append)
+        inj.inject_at(0, "colid", 17, 3)
+        inj.inject_at(0, "val", 17, 3)
+        assert seen == [17]
+        inj.register("colid", a.colid)  # re-registering drops the hook
+        inj.inject_at(1, "colid", 18, 3)
+        assert seen == [17]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, Scheme, SchemeConfig, cg, run_ft_cg
+from repro.core import CostModel, Method, Scheme, SchemeConfig, cg
+from repro.resilience import run_ft_method
 from repro.model import model_for_scheme
 from repro.sim.engine import make_rhs, repeat_run
 from repro.sim.matrices import suite_specs
@@ -30,7 +31,7 @@ class TestSchemesAgree:
             (Scheme.ABFT_CORRECTION, 1),
         ]:
             cfg = SchemeConfig(scheme, checkpoint_interval=6, verification_interval=d)
-            res = run_ft_cg(a, b, cfg, alpha=0.08, rng=2, eps=1e-8)
+            res = run_ft_method(Method.CG, a, b, cfg, alpha=0.08, rng=2, eps=1e-8)
             assert res.converged, scheme
             xs.append(res.x)
         for x in xs:
@@ -67,7 +68,7 @@ class TestModelPredictsSimulation:
         b = make_rhs(a)
         alpha = 0.5
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
-        res = run_ft_cg(a, b, cfg, alpha=alpha, rng=7, eps=1e-6, maxiter=4000)
+        res = run_ft_method(Method.CG, a, b, cfg, alpha=alpha, rng=7, eps=1e-6, maxiter=4000)
         # Iterations that did not roll back ÷ executed ≈ q.
         q_model = np.exp(-alpha) * (1 + alpha)
         q_sim = 1 - res.counters.rollbacks / res.iterations_executed
@@ -76,14 +77,20 @@ class TestModelPredictsSimulation:
 
 class TestParallelConsistency:
     def test_distributed_matches_protected_sequential(self, suite_matrix, rng):
-        from repro.abft import compute_checksums, protected_spmv
-        from repro.parallel import DistributedSpmv
+        from repro.abft import SpmvStatus, compute_checksums, protected_spmv
+        from repro.parallel import partition_by_nnz
 
         a, _ = suite_matrix
         x = rng.normal(size=a.ncols)
         seq = protected_spmv(a, x.copy(), compute_checksums(a, nchecks=2))
-        par = DistributedSpmv(a, 4).multiply(x)
-        np.testing.assert_allclose(par.y, seq.y, rtol=1e-12)
+        part = partition_by_nnz(a, 4)
+        pieces = []
+        for r in range(4):
+            blk = part.local_block(a, r)
+            res = protected_spmv(blk, x.copy(), compute_checksums(blk, nchecks=2))
+            assert res.status is SpmvStatus.OK
+            pieces.append(res.y)
+        np.testing.assert_allclose(np.concatenate(pieces), seq.y, rtol=1e-12)
 
 
 class TestRecoveryAudit:
@@ -93,7 +100,7 @@ class TestRecoveryAudit:
         a, b = suite_matrix
         log = EventLog()
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
-        res = run_ft_cg(a, b, cfg, alpha=0.2, rng=1, eps=1e-6, event_log=log)
+        res = run_ft_method(Method.CG, a, b, cfg, alpha=0.2, rng=1, eps=1e-6, event_log=log)
         assert log.count("checkpoint") == res.counters.checkpoints
         assert log.count("correction") == res.counters.total_corrections
         assert (
@@ -104,5 +111,5 @@ class TestRecoveryAudit:
     def test_fault_records_match_counter(self, suite_matrix):
         a, b = suite_matrix
         cfg = SchemeConfig(Scheme.ABFT_DETECTION, checkpoint_interval=5)
-        res = run_ft_cg(a, b, cfg, alpha=0.15, rng=4, eps=1e-6)
+        res = run_ft_method(Method.CG, a, b, cfg, alpha=0.15, rng=4, eps=1e-6)
         assert res.counters.faults_injected > 0

@@ -6,14 +6,20 @@ tolerance, in any of the five protected locations — is detected, and in
 correction mode repaired to the exact clean product.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.abft import SpmvStatus, compute_checksums, protected_spmv, majority_vote
+from repro.abft import SpmvStatus, compute_checksums, protected_spmv
+from repro.core import Scheme, SchemeConfig
+from repro.faults import FaultInjector, FaultModel
 from repro.faults.bitflip import flip_bit_float64, flip_bit_int64
 from repro.model import expected_frame_time, frame_overhead
+from repro.resilience import EngineContext
 from repro.sparse import CSRMatrix, laplacian_2d, spmv, spmv_reference
+from repro.util.log import EventLog
 
 # One fixed protected matrix for the ABFT properties (checksums are
 # per-matrix; rebuilding them per example would dominate runtime).
@@ -155,15 +161,24 @@ def test_clean_product_never_flagged(seed):
 # ----------------------------------------------------------------------
 @given(
     vals=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=20),
-    corrupt_idx=st.integers(0, 2),
-    offset=st.floats(0.5, 1e6),
+    corrupt_idx=st.integers(0, 19),
+    bit=st.integers(0, 63),
 )
 @settings(max_examples=50, deadline=None)
-def test_tmr_masks_any_single_corruption(vals, corrupt_idx, offset):
+def test_tmr_masks_any_single_corruption(vals, corrupt_idx, bit):
+    """The engine's voter out-votes one strike on any word and any bit,
+    leaving the vector bit-identical."""
     truth = np.array(vals)
-    replicas = [truth.copy() for _ in range(3)]
-    replicas[corrupt_idx] = replicas[corrupt_idx] + offset
-    np.testing.assert_array_equal(majority_vote(replicas), truth)
+    v = truth.copy()
+    a = laplacian_2d(2)
+    ctx = EngineContext(
+        SimpleNamespace(iteration=0), a, a, np.ones(4),
+        SchemeConfig(Scheme.ABFT_CORRECTION), EventLog(),
+    )
+    ctx.injector = FaultInjector(FaultModel(alpha=1.0, memory_words=v.size), rng=0)
+    ctx.injector.register("p", v)
+    assert ctx.tmr_vote([("p", corrupt_idx % v.size, bit)], stop_on_failure=True)
+    np.testing.assert_array_equal(v.view(np.int64), truth.view(np.int64))
 
 
 # ----------------------------------------------------------------------

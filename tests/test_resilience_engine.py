@@ -3,21 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    Method,
-    Scheme,
-    SchemeConfig,
-    pcg,
-    run_ft_bicgstab,
-    run_ft_cg,
-    run_ft_method,
-    run_ft_pcg,
-)
+from repro.core import Method, Scheme, SchemeConfig, pcg
 from repro.resilience import (
     BiCGstabPlugin,
     CGPlugin,
     JacobiPCGPlugin,
     make_plugin,
+    run_ft_method,
     run_protected,
 )
 from repro.sim.engine import make_rhs, repeat_run
@@ -60,19 +52,19 @@ class TestMethodEnum:
 
 
 class TestDispatch:
-    def test_run_ft_method_matches_wrappers(self, problem):
+    def test_run_ft_method_matches_run_protected(self, problem):
         a, b = problem
         cfg = config(Scheme.ABFT_CORRECTION)
         via_method = run_ft_method(Method.CG, a, b, cfg, alpha=0.1, rng=7, eps=1e-6)
-        via_wrapper = run_ft_cg(a, b, cfg, alpha=0.1, rng=7, eps=1e-6)
-        assert via_method.time_units == via_wrapper.time_units
-        np.testing.assert_array_equal(via_method.x, via_wrapper.x)
+        via_engine = run_protected(CGPlugin(), a, b, cfg, alpha=0.1, rng=7, eps=1e-6)
+        assert via_method.time_units == via_engine.time_units
+        np.testing.assert_array_equal(via_method.x, via_engine.x)
 
     def test_run_ft_method_accepts_strings(self, problem):
         a, b = problem
         cfg = config(Scheme.ABFT_DETECTION)
         r1 = run_ft_method("bicgstab", a, b, cfg, alpha=0.1, rng=3, eps=1e-6)
-        r2 = run_ft_bicgstab(a, b, cfg, alpha=0.1, rng=3, eps=1e-6)
+        r2 = run_ft_method(Method.BICGSTAB, a, b, cfg, alpha=0.1, rng=3, eps=1e-6)
         assert r1.time_units == r2.time_units
 
     def test_plugins_are_single_use_fresh(self):
@@ -83,7 +75,7 @@ class TestFTPCG:
     @pytest.mark.parametrize("scheme", [Scheme.ABFT_DETECTION, Scheme.ABFT_CORRECTION])
     def test_converges_without_faults(self, problem, scheme):
         a, b = problem
-        res = run_ft_pcg(a, b, config(scheme), alpha=0.0, rng=0, eps=1e-6)
+        res = run_ft_method(Method.PCG, a, b, config(scheme), alpha=0.0, rng=0, eps=1e-6)
         assert res.converged
         assert res.residual_norm <= res.threshold
         assert res.counters.rollbacks == 0
@@ -94,56 +86,72 @@ class TestFTPCG:
         from repro.core import jacobi_preconditioner
 
         plain = pcg(a, b, preconditioner=jacobi_preconditioner(a), eps=1e-6)
-        ft = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
+        ft = run_ft_method(
+            Method.PCG, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6
+        )
         assert ft.converged
         np.testing.assert_allclose(ft.x, plain.x, rtol=1e-6, atol=1e-8)
 
     def test_preconditioning_beats_plain_cg(self, problem):
         """The diagonal preconditioner must pay for itself in iterations."""
         a, b = problem
-        ft_cg = run_ft_cg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
-        ft_pcg = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
+        ft_cg = run_ft_method(
+            Method.CG, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6
+        )
+        ft_pcg = run_ft_method(
+            Method.PCG, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6
+        )
         assert ft_pcg.iterations < ft_cg.iterations
 
     @pytest.mark.parametrize("scheme", [Scheme.ABFT_DETECTION, Scheme.ABFT_CORRECTION])
     def test_converges_under_injection(self, problem, scheme):
         a, b = problem
-        res = run_ft_pcg(a, b, config(scheme), alpha=0.1, rng=42, eps=1e-6)
+        res = run_ft_method(Method.PCG, a, b, config(scheme), alpha=0.1, rng=42, eps=1e-6)
         assert res.converged
         assert res.counters.faults_injected > 0
         assert res.residual_norm <= res.threshold
 
     def test_correction_forward_recovers(self, problem):
         a, b = problem
-        res = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.25, rng=11, eps=1e-6)
+        res = run_ft_method(
+            Method.PCG, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.25, rng=11, eps=1e-6
+        )
         assert res.converged
         assert res.counters.total_corrections > 0
         assert res.counters.rollbacks < res.counters.total_corrections
 
     def test_detection_rolls_back(self, problem):
         a, b = problem
-        res = run_ft_pcg(a, b, config(Scheme.ABFT_DETECTION), alpha=0.25, rng=11, eps=1e-6)
+        res = run_ft_method(
+            Method.PCG, a, b, config(Scheme.ABFT_DETECTION), alpha=0.25, rng=11, eps=1e-6
+        )
         assert res.converged
         assert res.counters.rollbacks > 0
         assert res.counters.total_corrections == 0
 
     def test_determinism(self, problem):
         a, b = problem
-        r1 = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.2, rng=5, eps=1e-6)
-        r2 = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.2, rng=5, eps=1e-6)
+        r1 = run_ft_method(
+            Method.PCG, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.2, rng=5, eps=1e-6
+        )
+        r2 = run_ft_method(
+            Method.PCG, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.2, rng=5, eps=1e-6
+        )
         assert r1.time_units == r2.time_units
         np.testing.assert_array_equal(r1.x, r2.x)
 
     def test_input_matrix_never_mutated(self, problem):
         a, b = problem
         snap = a.copy()
-        run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=2, eps=1e-6)
+        run_ft_method(Method.PCG, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=2, eps=1e-6)
         assert a.equals(snap)
 
     def test_online_scheme_rejected(self, problem):
         a, b = problem
         with pytest.raises(ValueError, match="ABFT"):
-            run_ft_pcg(a, b, SchemeConfig(Scheme.ONLINE_DETECTION, verification_interval=4))
+            run_ft_method(
+                Method.PCG, a, b, SchemeConfig(Scheme.ONLINE_DETECTION, verification_interval=4)
+            )
 
     def test_zero_diagonal_rejected(self):
         from repro.sparse import CSRMatrix
@@ -151,18 +159,21 @@ class TestFTPCG:
         dense = np.array([[0.0, 1.0], [1.0, 2.0]])
         a = CSRMatrix.from_dense(dense)
         with pytest.raises(ValueError, match="zero-free diagonal"):
-            run_ft_pcg(a, np.ones(2), config(Scheme.ABFT_DETECTION))
+            run_ft_method(Method.PCG, a, np.ones(2), config(Scheme.ABFT_DETECTION))
 
     def test_breakdown_sums(self, problem):
         a, b = problem
-        res = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.15, rng=9, eps=1e-6)
+        res = run_ft_method(
+            Method.PCG, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.15, rng=9, eps=1e-6
+        )
         assert res.breakdown.total == pytest.approx(res.time_units)
 
     def test_event_log_records_recoveries(self, problem):
         a, b = problem
         log = EventLog()
-        res = run_ft_pcg(
-            a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=11, eps=1e-6, event_log=log
+        res = run_ft_method(
+            Method.PCG, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=11, eps=1e-6,
+            event_log=log
         )
         kinds = {ev.kind for ev in log.events}
         assert "checkpoint" in kinds
@@ -198,16 +209,16 @@ class TestEngineGenerics:
 
     def test_max_time_units_bails(self, problem):
         a, b = problem
-        res = run_ft_pcg(
-            a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-14,
+        res = run_ft_method(
+            Method.PCG, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-14,
             max_time_units=10.0,
         )
         assert res.time_units <= 13.0  # one iteration of slack
 
     def test_maxiter_bails(self, problem):
         a, b = problem
-        res = run_ft_pcg(
-            a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-14, maxiter=7
+        res = run_ft_method(
+            Method.PCG, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-14, maxiter=7
         )
         assert res.iterations_executed == 7
         assert not res.converged
