@@ -248,6 +248,9 @@ def _format_telemetry(tele: dict) -> "list[str]":
     live = _rate(c.get("workspace.live_restore", 0), c.get("workspace.live_copy", 0))
     if live is not None:
         lines.append(f"  live-matrix restore rate: {100 * live:.1f}%")
+    memo = _rate(c.get("workspace.memo_hit", 0), c.get("workspace.memo_miss", 0))
+    if memo is not None:
+        lines.append(f"  product-memo hit rate: {100 * memo:.1f}%")
     reqs = c.get("workspace.buffer_requests", 0)
     allocs = c.get("workspace.buffer_allocs", 0)
     if reqs > 0:

@@ -214,6 +214,8 @@ def _telemetry_state() -> dict:
         for key, value in (
             ("workspace.buffer_requests", ws.buffer_requests),
             ("workspace.buffer_allocs", ws.buffer_allocs),
+            ("workspace.memo_hit", ws.memo_hits),
+            ("workspace.memo_miss", ws.memo_misses),
         ):
             if value:
                 c[key] = c.get(key, 0) + value

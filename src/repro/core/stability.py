@@ -45,11 +45,14 @@ def orthogonality_check(
     A zero vector (fault can zero out p) scores 0 but is treated as a
     failure because CG cannot continue with a null direction.
     """
-    np_norm = float(np.linalg.norm(p_next))
-    nq_norm = float(np.linalg.norm(q))
-    if np_norm == 0.0 or nq_norm == 0.0 or not np.isfinite(np_norm * nq_norm):
-        return False, float("inf")
-    score = abs(float(p_next @ q)) / (np_norm * nq_norm)
+    # A corrupted vector may overflow the norms: a failed test, not a
+    # floating-point warning for the user.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np_norm = float(np.linalg.norm(p_next))
+        nq_norm = float(np.linalg.norm(q))
+        if np_norm == 0.0 or nq_norm == 0.0 or not np.isfinite(np_norm * nq_norm):
+            return False, float("inf")
+        score = abs(float(p_next @ q)) / (np_norm * nq_norm)
     return bool(score <= tol), score
 
 
@@ -69,9 +72,12 @@ def residual_check(
     issued on the run's kernel ``backend`` so the recomputed and
     maintained residuals come from the same summation order.
     """
-    true_r = b - spmv(a, x, backend=backend)
-    scale = float(np.linalg.norm(b)) or 1.0
-    gap = float(np.linalg.norm(true_r - r)) / scale
+    # Overflow from a corrupted x or r yields a non-finite gap, which
+    # fails the test; it must not surface as a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        true_r = b - spmv(a, x, backend=backend)
+        scale = float(np.linalg.norm(b)) or 1.0
+        gap = float(np.linalg.norm(true_r - r)) / scale
     if not np.isfinite(gap):
         return False, float("inf")
     return bool(gap <= tol), gap

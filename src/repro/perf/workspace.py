@@ -30,7 +30,16 @@ float:
   O(#faults) (:meth:`restore_matrix_state`);
 - **per-source caches** — ``‖A‖₁`` for the stopping threshold (the
   checksum cache itself is process-global, see
-  :func:`repro.abft.checksums.cached_checksums`).
+  :func:`repro.abft.checksums.cached_checksums`);
+- **fault-free product memo** — every repetition of a task walks the
+  same fault-free trajectory until its first strike (and again after
+  each rollback to a clean checkpoint), so the product ``y = A·p`` of
+  such an iteration is already known.  One entry per product slot
+  (solver, iteration, position within the step) keeps ``(p, y)`` and
+  the checksum objects ``y`` verified clean under; while the live matrix
+  is byte-equal to the source (:attr:`live_pristine`) a slot whose
+  stored ``p`` is byte-equal to the input hands back ``y``
+  (:meth:`memo_product`).  Capped at :data:`MEMO_BUDGET_BYTES`.
 
 Workspaces are **not** thread-safe and must not be shared across
 concurrently running solves; the campaign executor keeps one per
@@ -45,6 +54,17 @@ engine refresh copies pristine data (removing deviations, never adding
 any). Rewriting the tainted words from the source therefore restores
 bit-equality — positions tainted but not currently deviating are
 rewritten with the value they already hold.
+
+Correctness argument for the product memo: :attr:`live_pristine` is set
+only where the live matrix provably holds the source's bytes (a fresh
+copy or a full strike-undo, a refresh, a rollback to a checkpoint with
+no deviations) and cleared by every recorded mutation, so while it
+holds, a product's inputs are the source's bytes and the input vector's
+bytes.  The kernel is a deterministic function of those bytes; a memo
+entry was computed from the same source (the memo is dropped when the
+workspace binds another one), so a byte-equal input yields exactly the
+bytes the kernel would produce.  The same holds for the ABFT verdict,
+which is why it is recorded per checksums object.
 """
 
 from __future__ import annotations
@@ -60,10 +80,22 @@ from repro.sparse.validate import structure_arrays_clean
 if TYPE_CHECKING:  # pragma: no cover
     from repro.abft.checksums import SpmvChecksums
 
-__all__ = ["SolveWorkspace"]
+__all__ = ["SolveWorkspace", "MEMO_BUDGET_BYTES"]
 
 #: The corruptible matrix arrays, in injector registration order.
 _MATRIX_ARRAYS = ("val", "colid", "rowidx")
+
+#: Per-workspace byte budget of the product memo (stored ``p`` and
+#: ``y`` arrays).  Slots are filled in first-visit order, so the early
+#: iterations every repetition replays win; once full, existing slots
+#: are still overwritten in place but no new one is added.
+MEMO_BUDGET_BYTES = 2 << 20
+
+
+def _same_bytes(u: np.ndarray, v: np.ndarray) -> bool:
+    """Byte equality of two float64 vectors (``-0.0`` ≠ ``0.0``, NaN
+    payloads compared too — value equality would be too lax)."""
+    return u.shape == v.shape and bool((u.view(np.uint64) == v.view(np.uint64)).all())
 
 
 class SolveWorkspace:
@@ -94,6 +126,11 @@ class SolveWorkspace:
         self._taint: dict[str, set[int]] = {n: set() for n in _MATRIX_ARRAYS}
         self._norm1: "float | None" = None
         self._jacobi_minv: "np.ndarray | None" = None
+        #: True while the live matrix is byte-equal to its source.
+        self.live_pristine = False
+        #: slot -> [p, y, checksums objects y verified clean under]
+        self._memo: dict[tuple, list] = {}
+        self._memo_bytes = 0
         # Telemetry for tests/benchmarks (no behavioural role).  The
         # buffer-pool pair uses plain int attributes, not the METRICS
         # registry: buffer() sits on the per-iteration hot path, where
@@ -103,6 +140,8 @@ class SolveWorkspace:
         self.live_restores = 0
         self.buffer_requests = 0
         self.buffer_allocs = 0
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     # ------------------------------------------------------------------
     # named buffer pool
@@ -165,6 +204,7 @@ class SolveWorkspace:
         """
         if self._live is not None and self._live_source is a:
             self._undo_taint()
+            self.live_pristine = True
             self.live_restores += 1
             METRICS.inc("workspace.live_restore")
             return self._live
@@ -189,6 +229,8 @@ class SolveWorkspace:
             s.clear()
         self._norm1 = None
         self._jacobi_minv = None
+        self._drop_memo()
+        self.live_pristine = True
         self.live_copies += 1
         METRICS.inc("workspace.live_copy")
         return self._live
@@ -220,6 +262,7 @@ class SolveWorkspace:
         their defensive scans.
         """
         self._taint[name].add(int(position))
+        self.live_pristine = False
         if name != "val" and self._live is not None:
             self._live.mark_structure_dirty()
 
@@ -279,6 +322,7 @@ class SolveWorkspace:
         # path that the strike had disarmed.
         if "colid" not in deltas and "rowidx" not in deltas:
             self._rearm_live()
+        self.live_pristine = not deltas
 
     def reverify_structure(self) -> None:
         """Re-arm the live structure stamp if no index word deviates.
@@ -308,6 +352,62 @@ class SolveWorkspace:
         contract, and re-undoing an already-pristine word is harmless).
         """
         self._rearm_live()
+        self.live_pristine = True
+
+    # ------------------------------------------------------------------
+    # fault-free product memo
+    # ------------------------------------------------------------------
+    def memo_product(
+        self, slot: tuple, x: np.ndarray, checksums: "SpmvChecksums | None" = None
+    ) -> "np.ndarray | None":
+        """The memoized ``A·x`` for ``slot``, or ``None`` (a miss).
+
+        Hits only while :attr:`live_pristine` holds and the slot's
+        stored input is byte-equal to ``x``; with ``checksums`` given
+        the product must also have verified clean under that object.
+        The returned array is memo-owned: copy it out, never write it.
+        """
+        entry = self._memo.get(slot) if self.live_pristine else None
+        if entry is not None and _same_bytes(entry[0], x):
+            if checksums is None or any(c is checksums for c in entry[2]):
+                self.memo_hits += 1
+                return entry[1]
+        self.memo_misses += 1
+        return None
+
+    def memo_record(
+        self,
+        slot: tuple,
+        x: np.ndarray,
+        y: np.ndarray,
+        checksums: "SpmvChecksums | None" = None,
+    ) -> None:
+        """Remember ``y = A·x`` for ``slot`` (no-op unless the live
+        matrix is pristine).  ``checksums`` marks ``y`` as verified
+        clean under that object; the caller records only products with
+        no strike in their window."""
+        if not self.live_pristine:
+            return
+        entry = self._memo.get(slot)
+        if entry is None:
+            need = x.nbytes + y.nbytes
+            if self._memo_bytes + need > MEMO_BUDGET_BYTES:
+                return
+            self._memo_bytes += need
+            self._memo[slot] = [x.copy(), y.copy(), [] if checksums is None else [checksums]]
+            return
+        if _same_bytes(entry[0], x):
+            # Same input, same bytes out: only the verdict can be new.
+            if checksums is not None and not any(c is checksums for c in entry[2]):
+                entry[2].append(checksums)
+            return
+        np.copyto(entry[0], x)
+        np.copyto(entry[1], y)
+        entry[2][:] = [] if checksums is None else [checksums]
+
+    def _drop_memo(self) -> None:
+        self._memo.clear()
+        self._memo_bytes = 0
 
     # ------------------------------------------------------------------
     # per-source caches
@@ -371,6 +471,8 @@ class SolveWorkspace:
             s.clear()
         self._norm1 = None
         self._jacobi_minv = None
+        self.live_pristine = False
+        self._drop_memo()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         nbuf = len(self._buffers)

@@ -185,16 +185,27 @@ class CGPlugin:
             for s in strikes:
                 ctx.injector.apply_strike(self.iteration, s)
         with np.errstate(all="ignore"):
-            if self.workspace is None:
+            ws = self.workspace
+            if ws is None:
                 self.q[:] = spmv(self.live, self.p, backend=self.backend)
             else:
-                spmv(
-                    self.live,
-                    self.p,
-                    out=self.q,
-                    scratch=self.workspace.buffer("spmv.scratch", self.live.nnz),
-                    backend=self.backend,
-                )
+                # Strikes already landed: a matrix strike cleared the
+                # pristine flag, a p strike changed p's bytes.
+                slot = (self.name, self.iteration, 0)
+                memo = self.backend is None
+                known = ws.memo_product(slot, self.p) if memo else None
+                if known is not None:
+                    np.copyto(self.q, known)
+                else:
+                    spmv(
+                        self.live,
+                        self.p,
+                        out=self.q,
+                        scratch=ws.buffer("spmv.scratch", self.live.nnz),
+                        backend=self.backend,
+                    )
+                    if memo:
+                        ws.memo_record(slot, self.p, self.q)
             pq = float(self.p @ self.q)
             alpha_step = self.rr / pq if pq != 0.0 else np.nan
             self.x += alpha_step * self.p

@@ -184,11 +184,14 @@ def _spmv_loop(
     # One vectorized clip + tolist instead of two np.clip scalar
     # dispatches per row; the per-row dot products are unchanged.
     bounds = np.clip(rowidx, 0, nnz).tolist()
-    for i in range(n):
-        lo = bounds[i]
-        hi = bounds[i + 1]
-        if hi > lo:
-            y[i] = float(val[lo:hi] @ x[colid[lo:hi]])
+    # A corrupted value can overflow a row's dot product to ±inf: the
+    # silent error propagating, for ABFT to flag, not a kernel fault.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            lo = bounds[i]
+            hi = bounds[i + 1]
+            if hi > lo:
+                y[i] = float(val[lo:hi] @ x[colid[lo:hi]])
     return y
 
 

@@ -443,6 +443,12 @@ class TestCampaignObservability:
         assert main(["report", str(store)]) == 0
         out = capsys.readouterr().out
         assert "telemetry" in out and "time shares" in out
+        counters = rec["counters"]
+        assert counters["workspace.memo_hit"] > 0 and counters["workspace.memo_miss"] > 0
+        lines = out.splitlines()
+        memo = [i for i, l in enumerate(lines) if "product-memo hit rate" in l]
+        live = [i for i, l in enumerate(lines) if "live-matrix restore rate" in l]
+        assert memo and live and memo[0] == live[0] + 1
 
     def test_cached_rerun_appends_no_telemetry(self, tasks, tmp_path):
         from repro.campaign import run_campaign

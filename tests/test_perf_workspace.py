@@ -29,6 +29,7 @@ from repro.resilience.registry import run_ft_method
 from repro.sim.engine import make_rhs, repeat_run
 from repro.sparse import CSRMatrix, spmv, stencil_spd
 from repro.sparse.validate import structure_arrays_clean
+from repro.util.log import EventLog
 from repro.util.rng import spawn_named
 
 RESULT_FIELDS = (
@@ -289,6 +290,209 @@ class TestEngineWorkspace:
             clean_ws = run_ft_method(Method.CG, a, b, cfg, alpha=0.0, rng=0, eps=1e-6, workspace=ws)
         _assert_same_result(clean_ws, clean_fresh)
 
+    def test_warm_memo_every_method_and_scheme(self, problem):
+        """One workspace runs every solver × scheme in sequence, fault-
+        free reps (which fill the product memo) interleaved with faulted
+        ones: each run equals the fresh path, and the faulted reps do
+        correct, roll back and refresh while the memo serves hits."""
+        a, b = problem
+        ws = SolveWorkspace()
+        seen = {"corrections": 0, "rollbacks": 0, "refreshes": 0}
+        for method, scheme, d in GRID:
+            cfg = SchemeConfig(scheme, checkpoint_interval=3, verification_interval=d)
+            for alpha, seed in ((0.0, 0), (0.3, 1000), (0.0, 0), (0.3, 1001)):
+                log = EventLog()
+                with np.errstate(all="ignore"):
+                    want = run_ft_method(method, a, b, cfg, alpha=alpha, rng=seed, eps=1e-6)
+                    got = run_ft_method(
+                        method, a, b, cfg, alpha=alpha, rng=seed, eps=1e-6,
+                        workspace=ws, event_log=log,
+                    )
+                _assert_same_result(got, want)
+                assert got.x.tobytes() == want.x.tobytes()
+                seen["corrections"] += got.counters.total_corrections
+                seen["rollbacks"] += got.counters.rollbacks
+                seen["refreshes"] += log.count("refresh-rollback")
+        assert all(seen.values()), seen
+        assert ws.memo_hits > 0
+
+
+# ----------------------------------------------------------------------
+# the fault-free product memo
+# ----------------------------------------------------------------------
+class TestProductMemo:
+    def _bound(self, a):
+        ws = SolveWorkspace()
+        live = ws.acquire_live(a)
+        return ws, live
+
+    def test_pristine_transitions(self, small_lap):
+        ws = SolveWorkspace()
+        assert not ws.live_pristine
+        live = ws.acquire_live(small_lap)
+        assert ws.live_pristine  # fresh copy
+        clean = ws.capture_matrix_state()
+        assert clean == {}
+        # val strike
+        live.val[5] += 1.0
+        ws.note_matrix_mutation("val", 5)
+        assert not ws.live_pristine
+        struck = ws.capture_matrix_state()
+        ws.restore_matrix_state(clean)  # rollback to a deviation-free checkpoint
+        assert ws.live_pristine
+        np.testing.assert_array_equal(live.val, small_lap.val)
+        ws.restore_matrix_state(struck)  # rollback to a checkpoint with deltas
+        assert not ws.live_pristine
+        ws.acquire_live(small_lap)  # strike-undo restore
+        assert ws.live_pristine
+        # colid strike
+        live.colid[3] = (int(live.colid[3]) + 1) % live.ncols
+        ws.note_matrix_mutation("colid", 3)
+        assert not ws.live_pristine
+        # refresh: the engine re-reads the pristine arrays wholesale
+        live.colid[:] = small_lap.colid
+        ws.mark_live_pristine()
+        assert ws.live_pristine
+        ws.release()
+        assert not ws.live_pristine
+
+    def test_memo_follows_pristine_flag(self, small_lap, rng):
+        ws, live = self._bound(small_lap)
+        p = rng.standard_normal(small_lap.ncols)
+        y = spmv(small_lap, p)
+        ws.memo_record(("cg", 0, 0), p, y)
+        np.testing.assert_array_equal(ws.memo_product(("cg", 0, 0), p), y)
+        ws.note_matrix_mutation("val", 0)
+        assert ws.memo_product(("cg", 0, 0), p) is None
+        ws.memo_record(("cg", 1, 0), p, y)  # not pristine: not recorded
+        assert ("cg", 1, 0) not in ws._memo
+        ws.acquire_live(small_lap)
+        assert ws.memo_product(("cg", 0, 0), p) is not None  # same source: kept
+
+    def test_one_bit_change_misses(self, small_lap, rng):
+        ws, _ = self._bound(small_lap)
+        p = rng.standard_normal(small_lap.ncols)
+        p[7] = 0.0
+        ws.memo_record(("cg", 3, 0), p, spmv(small_lap, p))
+        for pos, bit in ((0, 0), (100, 52), (7, 63)):  # lowest mantissa bit, exponent, -0.0
+            q = p.copy()
+            q.view(np.uint64)[pos] ^= np.uint64(1) << np.uint64(bit)
+            assert ws.memo_product(("cg", 3, 0), q) is None
+        assert ws.memo_product(("cg", 3, 0), p) is not None
+        assert ws.memo_product(("cg", 4, 0), p) is None  # other slot
+        assert (ws.memo_hits, ws.memo_misses) == (1, 4)
+
+    def test_verdict_is_per_checksums_object(self, small_lap, rng):
+        ws, _ = self._bound(small_lap)
+        c1 = compute_checksums(small_lap, nchecks=1)
+        c2 = compute_checksums(small_lap, nchecks=2)
+        p = rng.standard_normal(small_lap.ncols)
+        y = spmv(small_lap, p)
+        ws.memo_record(("cg", 0, 0), p, y)  # raw product: no verdict
+        assert ws.memo_product(("cg", 0, 0), p) is not None
+        assert ws.memo_product(("cg", 0, 0), p, c1) is None
+        ws.memo_record(("cg", 0, 0), p, y, c1)
+        assert ws.memo_product(("cg", 0, 0), p, c1) is not None
+        assert ws.memo_product(("cg", 0, 0), p, c2) is None
+        q = p + 1.0  # a different input overwrites the slot and its verdicts
+        ws.memo_record(("cg", 0, 0), q, spmv(small_lap, q), c2)
+        assert ws.memo_product(("cg", 0, 0), p, c1) is None
+        assert ws.memo_product(("cg", 0, 0), q, c1) is None
+        assert ws.memo_product(("cg", 0, 0), q, c2) is not None
+
+    @pytest.mark.parametrize("backend", ["scipy", "dense"])
+    def test_non_reference_backend_never_hits(self, problem, backend):
+        a, b = problem
+        ws = SolveWorkspace()
+        for scheme, d in ((Scheme.ONLINE_DETECTION, 4), (Scheme.ABFT_CORRECTION, 1)):
+            cfg = SchemeConfig(scheme, checkpoint_interval=3, verification_interval=d)
+            for _ in range(2):
+                got = run_ft_method(
+                    Method.CG, a, b, cfg, rng=0, eps=1e-6, workspace=ws, backend=backend
+                )
+            want = run_ft_method(Method.CG, a, b, cfg, rng=0, eps=1e-6, backend=backend)
+            _assert_same_result(got, want)
+        assert (ws.memo_hits, ws.memo_misses) == (0, 0)
+        assert ws._memo == {}
+
+    def test_repeat_solve_served_from_memo(self, problem):
+        """The first fault-free solve misses on every product; an
+        identical second one is served entirely from the memo."""
+        a, b = problem
+        cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=3)
+        ws = SolveWorkspace()
+        first = run_ft_method(Method.CG, a, b, cfg, rng=0, eps=1e-6, workspace=ws)
+        assert ws.memo_hits == 0 and ws.memo_misses == first.iterations_executed
+        second = run_ft_method(Method.CG, a, b, cfg, rng=0, eps=1e-6, workspace=ws)
+        assert ws.memo_hits == second.iterations_executed
+        _assert_same_result(second, first)
+
+    def test_byte_budget(self, problem, monkeypatch):
+        import repro.perf.workspace as wsmod
+
+        a, b = problem
+        entry = 2 * a.nrows * 8  # stored p and y
+        monkeypatch.setattr(wsmod, "MEMO_BUDGET_BYTES", 5 * entry + entry // 2)
+        cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=3)
+        ws = SolveWorkspace()
+        want = run_ft_method(Method.CG, a, b, cfg, rng=0, eps=1e-6)
+        for _ in range(2):
+            got = run_ft_method(Method.CG, a, b, cfg, rng=0, eps=1e-6, workspace=ws)
+            _assert_same_result(got, want)
+        assert len(ws._memo) == 5 and ws._memo_bytes == 5 * entry
+        assert sorted(ws._memo) == [("cg", k, 0) for k in range(5)]  # first visits win
+        assert ws.memo_hits == 5
+
+    def test_default_budget_bounds_memory(self):
+        from repro.perf.workspace import MEMO_BUDGET_BYTES
+
+        n = 1 << 14
+        a = CSRMatrix.from_dense(np.eye(4))  # bound source; sizes below are n
+        ws = SolveWorkspace()
+        ws.acquire_live(a)
+        x = np.ones(n)
+        for k in range(64):
+            ws.memo_record(("cg", k, 0), x + k, x)
+        assert ws._memo_bytes <= MEMO_BUDGET_BYTES
+        assert len(ws._memo) == MEMO_BUDGET_BYTES // (2 * x.nbytes)
+
+    def test_bicgstab_products_never_alias(self, problem):
+        a, b = problem
+        cfg = SchemeConfig(Scheme.ABFT_DETECTION, checkpoint_interval=3)
+        ws = SolveWorkspace()
+        first = run_ft_method(Method.BICGSTAB, a, b, cfg, rng=0, eps=1e-6, workspace=ws)
+        k = first.iterations_executed
+        assert ws.memo_misses == 2 * k
+        for it in range(k):
+            e0, e1 = ws._memo[("bicgstab", it, 0)], ws._memo[("bicgstab", it, 1)]
+            assert e0[0].tobytes() != e1[0].tobytes()  # A·p vs A·s
+        second = run_ft_method(Method.BICGSTAB, a, b, cfg, rng=0, eps=1e-6, workspace=ws)
+        assert ws.memo_hits == 2 * k
+        _assert_same_result(second, first)
+
+    def test_switching_sources_clears_memo(self, problem, small_lap):
+        a, b = problem
+        cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=3)
+        ws = SolveWorkspace()
+        run_ft_method(Method.CG, a, b, cfg, rng=0, eps=1e-6, workspace=ws)
+        assert ws._memo
+        run_ft_method(Method.CG, small_lap, make_rhs(small_lap), cfg, rng=0, eps=1e-6,
+                      workspace=ws)
+        assert ws._memo
+        assert all(e[0].shape == (small_lap.ncols,) for e in ws._memo.values())
+        assert ws._memo_bytes == sum(e[0].nbytes + e[1].nbytes for e in ws._memo.values())
+        ws.release()
+        assert ws._memo == {} and ws._memo_bytes == 0
+
+    def test_clear_caches_drops_default_memo(self, problem):
+        a, b = problem
+        cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=3)
+        ws = default_workspace()
+        run_ft_method(Method.CG, a, b, cfg, rng=0, eps=1e-6, workspace=ws)
+        assert ws._memo
+        clear_caches()
+        assert ws._memo == {} and not ws.live_pristine
+
 
 # ----------------------------------------------------------------------
 # repeat_run / campaign / facade knobs
@@ -309,6 +513,29 @@ class TestRepeatRunWorkspace:
             )
         for f in STATS_FIELDS:
             assert getattr(fresh, f) == getattr(ws, f), f
+
+    def test_shared_workspace_across_methods_and_schemes(self, problem):
+        """repeat_run over every solver × scheme through one caller-owned
+        workspace (memo warm from the previous grid points) gives the
+        fresh path's per-repetition payloads exactly."""
+        a, b = problem
+        ws = SolveWorkspace()
+        for method, scheme, d in GRID:
+            cfg = SchemeConfig(scheme, checkpoint_interval=3, verification_interval=d)
+            runs = []
+            for kw in ({"workspace": ws}, {"reuse_workspace": False}):
+                per_rep: dict = {}
+                with np.errstate(all="ignore"):
+                    stats = repeat_run(
+                        a, b, cfg, alpha=0.3, reps=3, base_seed=4, eps=1e-6,
+                        method=method, per_rep=per_rep, **kw,
+                    )
+                runs.append((stats, per_rep))
+            (got, got_reps), (want, want_reps) = runs
+            assert got_reps == want_reps
+            for f in STATS_FIELDS:
+                assert getattr(got, f) == getattr(want, f), f
+        assert ws.memo_hits > 0
 
     def test_reps_match_isolated_runs(self, problem):
         """Each repetition in a workspace-shared sequence equals the
